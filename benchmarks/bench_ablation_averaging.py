@@ -7,17 +7,17 @@ conclude".  This ablation runs the averaging loop with round budgets
 spike set and (b) where convergence actually triggers.
 """
 
-from repro import make_environment, utc
+from repro import StudyRuntime, utc
 from repro.analysis import paper_vs_measured, render_table
 from repro.core.averaging import AveragingConfig, average_until_convergence
 
 
 def test_averaging_rounds_convergence(benchmark, emit):
-    env = make_environment(
+    runtime = StudyRuntime.build(
         background_scale=0.3, start=utc(2021, 1, 1), end=utc(2021, 3, 1)
     )
-    sift = env.sift
-    window = env.window
+    sift = runtime.sift
+    window = runtime.window
 
     def run(max_rounds: int, min_rounds: int | None = None):
         return average_until_convergence(

@@ -9,9 +9,8 @@ to ``BENCH_service.json`` (see :mod:`benchmarks.perf` for the layout):
   suggestions enabled, over a rotation of geographies, weekly frames
   and sample rounds;
 * ``rising_per_sec`` — the rising-suggestion computation alone;
-* ``study_serial_s`` / ``study_workers4_s`` — wall-clock of a complete
-  SIFT study (crawl -> stitch -> detect -> annotate) over the bench
-  geographies, serial and on four workers;
+* ``study_serial_s`` — wall-clock of a complete serial SIFT study
+  (crawl -> stitch -> detect -> annotate) over the bench geographies;
 * ``big_study_serial_s`` / ``big_study_process4_s`` and
   ``speedup_process_vs_serial`` — the paper-scale workload (all 51
   geographies over the full two-year window; annotation off, since the
@@ -164,7 +163,7 @@ def bench_scalar_reference(scenario, requests, rounds) -> tuple[float, float]:
     return measure_rate(one_pass, repeats=1, warmup=1)
 
 
-def bench_study(smoke: bool, max_workers: int) -> float:
+def bench_study(smoke: bool) -> float:
     from repro.runtime import StudyRuntime
 
     geos = SMOKE_GEOS if smoke else GEOS
@@ -174,7 +173,6 @@ def bench_study(smoke: bool, max_workers: int) -> float:
             background_scale=BACKGROUND_SCALE,
             start=SCENARIO_START,
             end=SCENARIO_END,
-            max_workers=max_workers,
         ) as runtime:
             runtime.run_study(geos=geos)
 
@@ -237,8 +235,7 @@ def run_bench(smoke: bool) -> dict:
         scenario, requests[: len(requests) if smoke else len(requests) // 2],
         ref_rounds,
     )
-    serial_s = bench_study(smoke, max_workers=1)
-    workers4_s = bench_study(smoke, max_workers=4)
+    serial_s = bench_study(smoke)
     big_serial_s = bench_big_study(smoke, executor="serial", max_workers=1)
 
     # The process-vs-serial comparison is meaningless without a second
@@ -266,7 +263,6 @@ def run_bench(smoke: bool) -> dict:
         "frames_per_sec": round(frames_rate, 1),
         "rising_per_sec": round(rising_rate, 1),
         "study_serial_s": round(serial_s, 3),
-        "study_workers4_s": round(workers4_s, 3),
         "big_study_serial_s": round(big_serial_s, 3),
         "big_study_process4_s": big_process4_s,
         "speedup_process_vs_serial": speedup_process,

@@ -8,7 +8,7 @@ minute; 1.0 is the full paper-scale study (expect several minutes and
 on the order of 49 000 spikes).
 
 Run:  python examples/two_year_study.py [scale] [workers]
-      python examples/two_year_study.py 1.0 4   # paper scale, 4 threads
+      python examples/two_year_study.py 1.0 4   # paper scale, 4 processes
 """
 
 import sys

@@ -21,16 +21,17 @@ Commands mirror the system's stages:
   detection quality.
 
 Every pipeline command accepts the runtime knobs: ``--workers`` and
-``--executor {auto,serial,thread,process}`` for parallel per-geography
-analysis (process = geography-sharded worker processes; results are
-byte-identical across executors), ``--db`` for a durable database that
-checkpoints finished geographies (rerunning after an interrupt resumes
-instead of recrawling), ``--store DIR`` for the memory-mapped columnar
-store (``serve --from-store`` then serves a finished study from it
-without crawling), ``--progress`` to stream the structured progress
-events as they happen, and ``--chaos PROFILE``/``--chaos-seed`` to
-inject deterministic faults into the simulated Trends service (see
-DESIGN.md §7) — the fault summary prints after the run.
+``--executor {auto,serial,process}`` for parallel per-geography
+analysis in geography-sharded worker processes (batch commands only —
+``watch`` ingests in-process; results are byte-identical across
+executors), ``--db`` for a durable database that checkpoints finished
+geographies (rerunning after an interrupt resumes instead of
+recrawling), ``--store DIR`` for the memory-mapped columnar store
+(``serve --from-store`` then serves a finished study from it without
+crawling), ``--progress`` to stream the structured progress events as
+they happen, and ``--chaos PROFILE``/``--chaos-seed`` to inject
+deterministic faults into the simulated Trends service (see DESIGN.md
+§7) — the fault summary prints after the run.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _add_scale(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=20221025)
 
 
-def _add_runtime(parser: argparse.ArgumentParser) -> None:
+def _add_workers(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
@@ -89,11 +90,14 @@ def _add_runtime(parser: argparse.ArgumentParser) -> None:
         "--executor",
         choices=EXECUTOR_KINDS,
         default="auto",
-        help="where those workers run: serial, a thread pool, or "
+        help="where those workers run: serial (in-process) or "
         "geography-sharded worker processes; auto picks serial for one "
-        "worker and threads otherwise (results are byte-identical "
+        "worker and processes otherwise (results are byte-identical "
         "either way; default auto)",
     )
+
+
+def _add_runtime(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--db",
         default=":memory:",
@@ -542,6 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     detect = commands.add_parser("detect", help="run SIFT for one geography")
     _add_scale(detect)
+    _add_workers(detect)
     _add_runtime(detect)
     detect.add_argument("--geo", default="US-TX")
     detect.add_argument("--top", type=int, default=10)
@@ -549,18 +554,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     study = commands.add_parser("study", help="run a multi-geography study")
     _add_scale(study)
+    _add_workers(study)
     _add_runtime(study)
     study.add_argument("geos", nargs="*", help="geographies (default: all 51)")
     study.set_defaults(handler=_cmd_study)
 
     report = commands.add_parser("report", help="regenerate headline tables")
     _add_scale(report)
+    _add_workers(report)
     _add_runtime(report)
     report.add_argument("geos", nargs="*")
     report.set_defaults(handler=_cmd_report)
 
     serve_cmd = commands.add_parser("serve", help="serve the web interface")
     _add_scale(serve_cmd)
+    _add_workers(serve_cmd)
     _add_runtime(serve_cmd)
     serve_cmd.add_argument("geos", nargs="*")
     serve_cmd.add_argument("--host", default="127.0.0.1")

@@ -6,14 +6,12 @@ sqlite3 layer (``:memory:`` by default, a file path for persistence)
 storing raw frame responses, reconstructed series, and detected spikes,
 so a crawl can be interrupted, resumed, and analyzed offline.
 
-Concurrency model: the store is safe to use from many threads at once.
-
-* **File-backed** paths get one connection *per thread* (sqlite
-  connections are not thread-safe), WAL journaling so readers never
-  block behind writers, and a generous busy timeout so concurrent
-  writers serialize instead of failing.
-* **In-memory** databases cannot share pages across connections, so a
-  single connection is shared behind a lock instead.
+Concurrency model: one connection, owned by the thread that opened
+the database.  sqlite's ``check_same_thread`` stays on, so any use
+from another thread fails loudly instead of racing.  Worker processes
+of a sharded study open their own partition databases; file-backed
+databases use WAL journaling and a generous busy timeout so those
+separate writers never fail on a locked file.
 
 ``store_frames`` batches many frame inserts into one transaction —
 the fast path for bulk crawls — and ``store_checkpoint`` persists a
@@ -24,12 +22,9 @@ geography committed.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import sqlite3
-import threading
-from collections.abc import Iterator
 from datetime import datetime
 from types import TracebackType
 
@@ -81,72 +76,29 @@ class CollectionDatabase:
 
     def __init__(self, path: str = ":memory:") -> None:
         self._path = path
-        self._shared_memory = ":memory:" in path or path == ""
-        self._lock = threading.RLock()
-        self._local = threading.local()
-        self._connections: list[sqlite3.Connection] = []
-        self._closed = False
-        if self._shared_memory:
-            self._shared: sqlite3.Connection | None = sqlite3.connect(
-                path, check_same_thread=False
-            )
-            self._shared.executescript(_SCHEMA)
-            self._shared.commit()
-        else:
-            self._shared = None
-            with self._connect() as conn:  # create the schema eagerly
-                conn.execute("SELECT 1")
-
-    # -- connections -------------------------------------------------------------
-
-    def _thread_connection(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is None:
-            try:
-                conn = sqlite3.connect(self._path)
-            except sqlite3.OperationalError as error:
-                raise DatabaseError(
-                    f"cannot open database {self._path!r}: {error}"
-                ) from error
+        try:
+            conn = sqlite3.connect(path)
+        except sqlite3.OperationalError as error:
+            raise DatabaseError(f"cannot open database {path!r}: {error}") from error
+        if ":memory:" not in path and path != "":
             conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
-            conn.executescript(_SCHEMA)
-            conn.commit()
-            self._local.conn = conn
-            with self._lock:
-                if self._closed:
-                    self._local.conn = None
-                    conn.close()
-                    raise DatabaseError(f"database {self._path} is closed")
-                self._connections.append(conn)
-        return conn
+        conn.executescript(_SCHEMA)
+        conn.commit()
+        self._conn: sqlite3.Connection | None = conn
 
-    @contextlib.contextmanager
-    def _connect(self) -> Iterator[sqlite3.Connection]:
-        """The calling thread's connection, serialized for shared memory."""
-        if self._closed:
+    def _connection(self) -> sqlite3.Connection:
+        if self._conn is None:
             raise DatabaseError(f"database {self._path} is closed")
-        if self._shared is not None:
-            with self._lock:
-                yield self._shared
-        else:
-            yield self._thread_connection()
+        return self._conn
 
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            if self._shared is not None:
-                self._shared.close()
-                self._shared = None
-                return
-            for conn in self._connections:
-                with contextlib.suppress(sqlite3.Error):
-                    conn.close()
-            self._connections.clear()
-            self._local = threading.local()
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
 
     def __enter__(self) -> "CollectionDatabase":
         return self
@@ -178,12 +130,12 @@ class CollectionDatabase:
 
     def store_frame(self, response: TimeFrameResponse, fetched_by: str) -> None:
         try:
-            with self._connect() as conn:
-                conn.execute(
-                    "INSERT OR REPLACE INTO frames VALUES (?,?,?,?,?,?,?,?)",
-                    self._frame_row(response, fetched_by),
-                )
-                conn.commit()
+            conn = self._connection()
+            conn.execute(
+                "INSERT OR REPLACE INTO frames VALUES (?,?,?,?,?,?,?,?)",
+                self._frame_row(response, fetched_by),
+            )
+            conn.commit()
         except sqlite3.Error as error:
             raise DatabaseError(f"failed to store frame: {error}") from error
 
@@ -195,29 +147,29 @@ class CollectionDatabase:
             return
         rows = [self._frame_row(response, fetched_by) for response, fetched_by in batch]
         try:
-            with self._connect() as conn:
-                conn.executemany(
-                    "INSERT OR REPLACE INTO frames VALUES (?,?,?,?,?,?,?,?)", rows
-                )
-                conn.commit()
+            conn = self._connection()
+            conn.executemany(
+                "INSERT OR REPLACE INTO frames VALUES (?,?,?,?,?,?,?,?)", rows
+            )
+            conn.commit()
         except sqlite3.Error as error:
             raise DatabaseError(f"failed to store frame batch: {error}") from error
 
     def load_frame(
         self, term: str, geo: str, window: TimeWindow, sample_round: int
     ) -> TimeFrameResponse | None:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT values_json, rising_json, sample_round FROM frames "
-                "WHERE term=? AND geo=? AND start=? AND end=? AND sample_round=?",
-                (
-                    term,
-                    geo,
-                    window.start.isoformat(),
-                    window.end.isoformat(),
-                    sample_round,
-                ),
-            ).fetchone()
+        conn = self._connection()
+        row = conn.execute(
+            "SELECT values_json, rising_json, sample_round FROM frames "
+            "WHERE term=? AND geo=? AND start=? AND end=? AND sample_round=?",
+            (
+                term,
+                geo,
+                window.start.isoformat(),
+                window.end.isoformat(),
+                sample_round,
+            ),
+        ).fetchone()
         if row is None:
             return None
         values_json, rising_json, stored_round = row
@@ -234,15 +186,15 @@ class CollectionDatabase:
         )
 
     def frame_count(self) -> int:
-        with self._connect() as conn:
-            (count,) = conn.execute("SELECT COUNT(*) FROM frames").fetchone()
+        conn = self._connection()
+        (count,) = conn.execute("SELECT COUNT(*) FROM frames").fetchone()
         return int(count)
 
     def frames_by_fetcher(self) -> dict[str, int]:
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT fetched_by, COUNT(*) FROM frames GROUP BY fetched_by"
-            ).fetchall()
+        conn = self._connection()
+        rows = conn.execute(
+            "SELECT fetched_by, COUNT(*) FROM frames GROUP BY fetched_by"
+        ).fetchall()
         return {fetcher: int(count) for fetcher, count in rows}
 
     # -- series -----------------------------------------------------------------
@@ -255,25 +207,25 @@ class CollectionDatabase:
         values: np.ndarray,
         meta: dict | None = None,
     ) -> None:
-        with self._connect() as conn:
-            conn.execute(
-                "INSERT OR REPLACE INTO series VALUES (?,?,?,?,?)",
-                (
-                    term,
-                    geo,
-                    start.isoformat(),
-                    json.dumps(values.tolist()),
-                    json.dumps(meta or {}),
-                ),
-            )
-            conn.commit()
+        conn = self._connection()
+        conn.execute(
+            "INSERT OR REPLACE INTO series VALUES (?,?,?,?,?)",
+            (
+                term,
+                geo,
+                start.isoformat(),
+                json.dumps(values.tolist()),
+                json.dumps(meta or {}),
+            ),
+        )
+        conn.commit()
 
     def load_series(self, term: str, geo: str) -> tuple[datetime, np.ndarray] | None:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT start, values_json FROM series WHERE term=? AND geo=?",
-                (term, geo),
-            ).fetchone()
+        conn = self._connection()
+        row = conn.execute(
+            "SELECT start, values_json FROM series WHERE term=? AND geo=?",
+            (term, geo),
+        ).fetchone()
         if row is None:
             return None
         start_iso, values_json = row
@@ -284,18 +236,18 @@ class CollectionDatabase:
 
     def series_geos(self, term: str) -> list[str]:
         """Geographies with a stored series for *term*, sorted."""
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT geo FROM series WHERE term=? ORDER BY geo", (term,)
-            ).fetchall()
+        conn = self._connection()
+        rows = conn.execute(
+            "SELECT geo FROM series WHERE term=? ORDER BY geo", (term,)
+        ).fetchall()
         return [geo for (geo,) in rows]
 
     def load_series_meta(self, term: str, geo: str) -> dict | None:
-        with self._connect() as conn:
-            row = conn.execute(
-                "SELECT meta_json FROM series WHERE term=? AND geo=?",
-                (term, geo),
-            ).fetchone()
+        conn = self._connection()
+        row = conn.execute(
+            "SELECT meta_json FROM series WHERE term=? AND geo=?",
+            (term, geo),
+        ).fetchone()
         if row is None:
             return None
         return json.loads(row[0])
@@ -317,11 +269,11 @@ class CollectionDatabase:
 
     def store_spikes(self, spikes: list[Spike] | tuple[Spike, ...]) -> None:
         rows = [self._spike_row(spike) for spike in spikes]
-        with self._connect() as conn:
-            conn.executemany(
-                "INSERT OR REPLACE INTO spikes VALUES (?,?,?,?,?,?,?,?)", rows
-            )
-            conn.commit()
+        conn = self._connection()
+        conn.executemany(
+            "INSERT OR REPLACE INTO spikes VALUES (?,?,?,?,?,?,?,?)", rows
+        )
+        conn.commit()
 
     def load_spikes(self, term: str | None = None, geo: str | None = None) -> list[Spike]:
         query = (
@@ -338,8 +290,8 @@ class CollectionDatabase:
             params.append(geo)
         if clauses:
             query += " WHERE " + " AND ".join(clauses)
-        with self._connect() as conn:
-            rows = conn.execute(query, params).fetchall()
+        conn = self._connection()
+        rows = conn.execute(query, params).fetchall()
         spikes = []
         for row in rows:
             term_, geo_, start, peak, end, magnitude, rank, annotations_json = row
@@ -358,8 +310,8 @@ class CollectionDatabase:
         return spikes
 
     def spike_count(self) -> int:
-        with self._connect() as conn:
-            (count,) = conn.execute("SELECT COUNT(*) FROM spikes").fetchone()
+        conn = self._connection()
+        (count,) = conn.execute("SELECT COUNT(*) FROM spikes").fetchone()
         return int(count)
 
     # -- shard partitions --------------------------------------------------------
@@ -376,24 +328,24 @@ class CollectionDatabase:
         if not os.path.exists(path):
             return  # a shard that resumed everything writes nothing
         try:
-            with self._connect() as conn:
-                conn.execute("ATTACH DATABASE ? AS shard", (path,))
-                try:
-                    conn.execute(
-                        "INSERT OR REPLACE INTO frames SELECT * FROM shard.frames "
-                        "ORDER BY term, geo, start, end, sample_round"
-                    )
-                    conn.execute(
-                        "INSERT OR REPLACE INTO series SELECT * FROM shard.series "
-                        "ORDER BY term, geo"
-                    )
-                    conn.execute(
-                        "INSERT OR REPLACE INTO spikes SELECT * FROM shard.spikes "
-                        "ORDER BY term, geo, peak"
-                    )
-                    conn.commit()
-                finally:
-                    conn.execute("DETACH DATABASE shard")
+            conn = self._connection()
+            conn.execute("ATTACH DATABASE ? AS shard", (path,))
+            try:
+                conn.execute(
+                    "INSERT OR REPLACE INTO frames SELECT * FROM shard.frames "
+                    "ORDER BY term, geo, start, end, sample_round"
+                )
+                conn.execute(
+                    "INSERT OR REPLACE INTO series SELECT * FROM shard.series "
+                    "ORDER BY term, geo"
+                )
+                conn.execute(
+                    "INSERT OR REPLACE INTO spikes SELECT * FROM shard.spikes "
+                    "ORDER BY term, geo, peak"
+                )
+                conn.commit()
+            finally:
+                conn.execute("DETACH DATABASE shard")
         except sqlite3.Error as error:
             raise DatabaseError(
                 f"failed to merge shard partition {path!r}: {error}"
@@ -419,25 +371,25 @@ class CollectionDatabase:
         leave a half-written checkpoint that looks complete.
         """
         try:
-            with self._connect() as conn:
-                conn.execute(
-                    "DELETE FROM spikes WHERE term=? AND geo=?", (term, geo)
-                )
-                conn.executemany(
-                    "INSERT OR REPLACE INTO spikes VALUES (?,?,?,?,?,?,?,?)",
-                    [self._spike_row(spike) for spike in spikes],
-                )
-                conn.execute(
-                    "INSERT OR REPLACE INTO series VALUES (?,?,?,?,?)",
-                    (
-                        term,
-                        geo,
-                        start.isoformat(),
-                        json.dumps(values.tolist()),
-                        json.dumps(meta),
-                    ),
-                )
-                conn.commit()
+            conn = self._connection()
+            conn.execute(
+                "DELETE FROM spikes WHERE term=? AND geo=?", (term, geo)
+            )
+            conn.executemany(
+                "INSERT OR REPLACE INTO spikes VALUES (?,?,?,?,?,?,?,?)",
+                [self._spike_row(spike) for spike in spikes],
+            )
+            conn.execute(
+                "INSERT OR REPLACE INTO series VALUES (?,?,?,?,?)",
+                (
+                    term,
+                    geo,
+                    start.isoformat(),
+                    json.dumps(values.tolist()),
+                    json.dumps(meta),
+                ),
+            )
+            conn.commit()
         except sqlite3.Error as error:
             raise DatabaseError(
                 f"failed to store checkpoint for {geo}: {error}"

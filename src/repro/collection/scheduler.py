@@ -3,8 +3,8 @@
 Two layers:
 
 * :class:`CollectionScheduler` — maps a queued workload onto the
-  fetcher fleet, executes it (serially or across a thread pool), and
-  merges every response into the
+  fetcher fleet, executes it (serially or across a crawl thread pool),
+  and merges every response into the
   :class:`repro.collection.CollectionDatabase`, the paper's "unified
   database".
 * :class:`CollectionManager` — the pipeline-facing frontend.  It
@@ -13,14 +13,14 @@ Two layers:
   the fleet.  Running SIFT through a manager therefore crawls each
   frame exactly once, however many pipeline stages ask for it.
 
-Concurrency model: fetcher units are handed out through an exclusive
-**lease** (checkout/checkin over a condition variable) — the least
-loaded *idle* unit whose circuit breaker admits work wins, and a unit
-is never shared between threads — and concurrent requests for the same
-frame are **single-flighted**: the first caller crawls, everyone else
-blocks on the in-flight entry and reuses the response.  Together these
-guarantee each frame is crawled at most once no matter how many
-pipeline workers run.
+Concurrency model: a scheduler serves one calling thread.  Only
+:meth:`CollectionScheduler.execute` fans out, over a crawl thread
+pool whose threads do nothing but crawl: fetcher units are handed out
+through an exclusive **lease** (checkout/checkin over a condition
+variable) — the least loaded *idle* unit whose circuit breaker admits
+work wins, and a unit is never shared between threads — while the
+calling thread deduplicates the workload up front and does every
+database write, so each frame is crawled at most once.
 
 Failure model (see DESIGN.md §7): a fetcher that exhausts its retry
 budget on a frame raises :class:`~repro.errors.FrameCrawlError` and
@@ -28,11 +28,11 @@ the scheduler **reassigns** the frame to another unit; a unit whose
 breaker is open is skipped at lease time (and raises
 :class:`~repro.errors.CircuitOpenError` if raced).  A frame that
 exhausts the reassignment budget too is parked on the **dead-letter
-queue** — exactly once, owner-side of the single flight — and
-surfaces as :class:`~repro.errors.FrameDeadLettered`, which the
-pipeline converts into a missing-frame record instead of crashing the
-study.  Fatal errors (malformed requests) are recorded on the DLQ and
-re-raised as themselves.
+queue** — exactly once per crawl attempt — and surfaces as
+:class:`~repro.errors.FrameDeadLettered`, which the pipeline converts
+into a missing-frame record instead of crashing the study.  Fatal
+errors (malformed requests) are recorded on the DLQ and re-raised as
+themselves.
 """
 
 from __future__ import annotations
@@ -122,19 +122,8 @@ class DeadLetterQueue:
             return len(self._entries)
 
 
-class _InFlight:
-    """One frame currently being crawled; waiters block on the event."""
-
-    __slots__ = ("event", "response", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.response: TimeFrameResponse | None = None
-        self.error: BaseException | None = None
-
-
 class CollectionScheduler:
-    """Leases fetchers to work items and merges results (thread-safe)."""
+    """Leases fetchers to work items and merges results."""
 
     def __init__(
         self,
@@ -153,9 +142,6 @@ class CollectionScheduler:
         self.dead_letters = DeadLetterQueue()
         self._fetcher_ready = threading.Condition()
         self._idle: list[FetcherUnit] = list(fleet)
-        self._flight_lock = threading.Lock()
-        self._inflight: dict[tuple, _InFlight] = {}
-        self._counter_lock = threading.Lock()
         self._fetched_total = 0
         self._cache_hits = 0
         self._started = time.perf_counter()
@@ -204,11 +190,6 @@ class CollectionScheduler:
                 self._idle.append(unit)
                 self._fetcher_ready.notify()
 
-    def _count(self, fetched: int = 0, cached: int = 0) -> None:
-        with self._counter_lock:
-            self._fetched_total += fetched
-            self._cache_hits += cached
-
     # -- crawling ----------------------------------------------------------------
 
     def _crawl_item(self, item: WorkItem) -> tuple[TimeFrameResponse, str]:
@@ -253,56 +234,31 @@ class CollectionScheduler:
     # -- serving -----------------------------------------------------------------
 
     def fetch_one(self, item: WorkItem) -> TimeFrameResponse:
-        """Serve one item through the cache, crawling on a miss.
-
-        Concurrent calls for the same frame are coalesced: only the
-        first actually reaches a fetcher.
-        """
+        """Serve one item through the cache, crawling on a miss."""
         existing = self.database.load_frame(
             item.term, item.geo, item.window, item.sample_round
         )
         if existing is not None:
-            self._count(cached=1)
+            self._cache_hits += 1
             return existing
-        key = item.key
-        with self._flight_lock:
-            flight = self._inflight.get(key)
-            owner = flight is None
-            if owner:
-                flight = _InFlight()
-                self._inflight[key] = flight
-        if not owner:
-            flight.event.wait()
-            if flight.error is not None:
-                raise flight.error
-            self._count(cached=1)
-            assert flight.response is not None
-            return flight.response
-        try:
-            response, fetched_by = self._crawl_item(item)
-            self.database.store_frame(response, fetched_by=fetched_by)
-            flight.response = response
-            self._count(fetched=1)
-            return response
-        except BaseException as error:
-            flight.error = error
-            raise
-        finally:
-            flight.event.set()
-            with self._flight_lock:
-                self._inflight.pop(key, None)
+        response, fetched_by = self._crawl_item(item)
+        self.database.store_frame(response, fetched_by=fetched_by)
+        self._fetched_total += 1
+        return response
 
     def execute(
         self, workload: list[WorkItem], max_workers: int | None = None
     ) -> CrawlReport:
         """Crawl every item not already in the database.
 
-        ``max_workers > 1`` dispatches over a thread pool (capped at the
+        ``max_workers > 1`` crawls over a thread pool (capped at the
         fleet size — more workers than fetchers would only queue on the
-        lease).  Duplicate items and database hits count as served from
-        cache; each distinct frame is crawled at most once.  Frames the
-        fleet cannot complete are dead-lettered and skipped (counted in
-        the report), not raised.
+        lease); the pool threads only crawl, and the calling thread
+        merges their responses into the database in batches.  Duplicate
+        items and database hits count as served from cache; each
+        distinct frame is crawled at most once.  Frames the fleet cannot
+        complete are dead-lettered and skipped (counted in the report),
+        not raised.
         """
         started = time.perf_counter()
         retries_before = sum(unit.retries for unit in self.fleet)
@@ -323,43 +279,44 @@ class CollectionScheduler:
         ]
         cached = len(workload) - len(to_crawl)
 
-        pending: list[tuple[TimeFrameResponse, str]] = []
-        pending_lock = threading.Lock()
-        crawled = [0]
-
-        def crawl(item: WorkItem) -> None:
+        def crawl(item: WorkItem) -> tuple[TimeFrameResponse, str] | None:
             try:
-                response, fetched_by = self._crawl_item(item)
+                return self._crawl_item(item)
             except FrameDeadLettered:
-                return
-            with pending_lock:
-                crawled[0] += 1
-                pending.append((response, fetched_by))
-                batch = pending.copy() if len(pending) >= _WRITE_BATCH else None
-                if batch is not None:
-                    pending.clear()
-            if batch is not None:
-                self.database.store_frames(batch)
+                return None
 
         workers = min(max_workers or 1, len(self.fleet), max(len(to_crawl), 1))
+        pool = (
+            concurrent.futures.ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="sift-crawl"
+            )
+            if workers > 1
+            else None
+        )
+        pending: list[tuple[TimeFrameResponse, str]] = []
+        crawled = 0
         try:
-            if workers > 1:
-                with concurrent.futures.ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="sift-crawl"
-                ) as pool:
-                    list(pool.map(crawl, to_crawl))
-            else:
-                for item in to_crawl:
-                    crawl(item)
+            # Executor.map yields in input order and re-raises the first
+            # failure; the pool keeps crawling ahead while this thread
+            # writes each batch.
+            results = (pool.map if pool is not None else map)(crawl, to_crawl)
+            for result in results:
+                if result is None:
+                    continue
+                crawled += 1
+                pending.append(result)
+                if len(pending) >= _WRITE_BATCH:
+                    self.database.store_frames(pending)
+                    pending = []
         finally:
-            with pending_lock:
-                batch = pending.copy()
-                pending.clear()
-            self.database.store_frames(batch)
-        self._count(fetched=crawled[0], cached=cached)
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            self.database.store_frames(pending)
+        self._fetched_total += crawled
+        self._cache_hits += cached
         return CrawlReport(
             requested=len(workload),
-            fetched=crawled[0],
+            fetched=crawled,
             served_from_cache=cached,
             retries=sum(unit.retries for unit in self.fleet) - retries_before,
             per_fetcher={unit.name: unit.completed for unit in self.fleet},
@@ -369,9 +326,8 @@ class CollectionScheduler:
 
     def lifetime_report(self) -> CrawlReport:
         """Cumulative accounting since the scheduler was built."""
-        with self._counter_lock:
-            fetched = self._fetched_total
-            cached = self._cache_hits
+        fetched = self._fetched_total
+        cached = self._cache_hits
         return CrawlReport(
             requested=fetched + cached,
             fetched=fetched,

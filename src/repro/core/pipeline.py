@@ -17,13 +17,14 @@
 
 ``run_study`` executes this per state over an arbitrary set of
 geographies — the paper's two-year, 51-geography study is
-``run_study(all_geos, two_year_window)``.  The per-geography stage is
-delegated to a pluggable executor (see :mod:`repro.runtime.executor`);
-results are reassembled in geography order, so a seeded study is
-byte-identical whether it ran on one thread or eight.  When a
-checkpoint store is attached (see :mod:`repro.runtime.checkpoint`),
-completed geographies are persisted as they finish and an interrupted
-study resumes them from the database instead of recrawling.
+``run_study(all_geos, two_year_window)``.  The per-geography stage runs
+in-process or, with a process executor, sharded across worker
+processes (see :mod:`repro.runtime.executor`); results are reassembled
+in geography order, so a seeded study is byte-identical whether it ran
+in one process or eight.  When a checkpoint store is attached (see
+:mod:`repro.runtime.checkpoint`), completed geographies are persisted
+as they finish and an interrupted study resumes them from the database
+instead of recrawling.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import threading
 import time
 from collections import OrderedDict
 from datetime import datetime
+from typing import TYPE_CHECKING
 
 from repro.core.averaging import (
     AveragingConfig,
@@ -66,6 +68,9 @@ from repro.core.spikes import Spike, SpikeSet
 from repro.errors import FrameDeadLettered
 from repro.timeutil import TimeWindow, daily_frame, weekly_frames
 from repro.trends.records import RisingTerm, TimeFrameRequest, TimeFrameResponse
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.runtime.executor import ProcessPoolStudyExecutor
 
 
 class FrameSource:
@@ -242,20 +247,18 @@ class Sift:
         source: FrameSource,
         config: SiftConfig | None = None,
         progress: ProgressListener | None = None,
-        executor: object | None = None,
+        executor: ProcessPoolStudyExecutor | None = None,
         checkpoint: StudyCheckpoint | None = None,
         rising_cache_size: int = 2048,
     ) -> None:
         self.source = source
         self.config = config or SiftConfig()
         # Resolved once: unknown backend names fail at construction,
-        # not mid-study.  The averager is stateless across calls and
-        # the factory yields a fresh stitcher per round, so both are
-        # safe to share across worker threads.
+        # not mid-study.
         self.averager = make_averager(self.config.averager)
         self.stitcher_factory = stitcher_factory(self.config.stitcher)
         self.clusterer = PhraseClusterer()
-        self.executor = executor  # anything with .map(fn, items); None = serial
+        self.executor = executor  # None runs the per-geography stage in-process
         self.checkpoint = checkpoint
         self._progress = progress
         self._progress_lock = threading.Lock()
@@ -408,45 +411,41 @@ class Sift:
     def run_study(self, geos: list[str] | tuple[str, ...], window: TimeWindow) -> StudyResult:
         """The paper's workflow over many geographies.
 
-        Per-geography analysis runs through ``self.executor`` (serial
-        when ``None``); the result list is reassembled in the order the
-        geographies were given, which keeps seeded runs deterministic
-        at any worker count.  Annotation and area grouping need the
-        whole spike set, so they stay on the calling thread.
+        Per-geography analysis runs in-process when ``self.executor``
+        is ``None`` and sharded across worker processes otherwise; the
+        result list is reassembled in the order the geographies were
+        given, which keeps seeded runs deterministic at any worker
+        count.  Annotation and area grouping need the whole spike set,
+        so they stay in the calling process.
         """
         geos = tuple(geos)
         total = len(geos)
         self._emit(StudyStarted(geos=geos, window=window))
 
-        def analyze_one(indexed: tuple[int, str]) -> tuple[StateResult, bool]:
-            index, geo = indexed
-            return self._analyze_or_resume(geo, window, index=index, total=total)
-
         stage_started = time.perf_counter()
-        sharded = getattr(self.executor, "shards_study", False)
         if self.executor is None:
-            outcomes = [analyze_one(pair) for pair in enumerate(geos)]
-        elif sharded:
-            # A process executor drives the whole stage itself: parent
-            # resume, shard dispatch, progress forwarding, partition
-            # merge (see repro.runtime.shard).  Workers emit their own
-            # ShardStats from inside each process.
-            outcomes = self.executor.run_sharded_study(self, geos, window)
-        else:
-            outcomes = self.executor.map(analyze_one, list(enumerate(geos)))
-        if not sharded:
+            outcomes = [
+                self._analyze_or_resume(geo, window, index=index, total=total)
+                for index, geo in enumerate(geos)
+            ]
             # In-process execution is one "shard": report its wall-clock
             # and peak RSS so every executor exposes a memory profile.
             self._emit(
                 ShardStats(
                     shard=0,
-                    executor=getattr(self.executor, "kind", "serial"),
-                    worker_count=getattr(self.executor, "max_workers", 1),
+                    executor="serial",
+                    worker_count=1,
                     geo_count=total,
                     elapsed_seconds=time.perf_counter() - stage_started,
                     peak_rss_kb=peak_rss_kb(),
                 )
             )
+        else:
+            # The process executor drives the whole stage itself: parent
+            # resume, shard dispatch, progress forwarding, partition
+            # merge (see repro.runtime.shard).  Workers emit their own
+            # ShardStats from inside each process.
+            outcomes = self.executor.run_sharded_study(self, geos, window)
         states = {geo: result for geo, (result, _) in zip(geos, outcomes)}
         resumed = tuple(
             geo for geo, (_, from_checkpoint) in zip(geos, outcomes) if from_checkpoint
@@ -495,7 +494,8 @@ class Sift:
     def _emit(self, event: ProgressEvent) -> None:
         if self._progress is None:
             return
-        # Worker threads emit too; keep listener invocations serialized.
+        # The process executor's event-drain thread emits too; keep
+        # listener invocations serialized.
         with self._progress_lock:
             self._progress(event)
 

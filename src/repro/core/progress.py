@@ -6,9 +6,10 @@ These dataclasses replace that: every stage of a study emits a typed
 event — geography started/finished, checkpoint hits, crawl and cache
 statistics — and consumers pattern-match on the event type.
 
-A *listener* is any callable taking one :class:`ProgressEvent`.  The
-pipeline may invoke it from worker threads (one at a time — emission is
-serialized), so listeners shared across runs should still be cheap.
+A *listener* is any callable taking one :class:`ProgressEvent`.  Under
+the process executor it is invoked from the thread that drains the
+workers' event queue (one at a time — emission is serialized), so
+listeners shared across runs should still be cheap.
 :func:`text_listener` adapts a plain string sink such as ``print``;
 :class:`ProgressLog` records events in memory for later inspection
 (the web interface serves it as ``/api/runtime``).
@@ -211,13 +212,13 @@ class ShardStats(ProgressEvent):
 
     A process-sharded study emits one per worker process (its slice of
     the geographies, wall-clock, and peak RSS as measured *inside* the
-    worker); serial and thread runs emit a single shard covering the
-    whole per-geography stage, so the memory profile of a workload is
+    worker); an in-process run emits a single shard covering the whole
+    per-geography stage, so the memory profile of a workload is
     observable under every executor.
     """
 
     shard: int
-    executor: str  # "serial" | "thread" | "process"
+    executor: str  # "serial" | "process"
     worker_count: int
     geo_count: int
     elapsed_seconds: float

@@ -64,7 +64,7 @@ def make_averager(name: str, **params: Any) -> Averager:
 
     Averagers are stateless across calls — per-geography state lives in
     the accumulator each ``average()`` call creates — so one instance
-    is safely shared by concurrent worker threads.
+    serves every geography of a study.
     """
     cls = AVERAGERS.get(name)
     if cls is None:

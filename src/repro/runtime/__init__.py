@@ -6,11 +6,9 @@ Everything about *how* a study runs — as opposed to *what* it computes
 * :class:`StudyRuntime` / :func:`StudyRuntime.build` — the single
   factory that wires world, service, crawler, and pipeline together
   for the CLI, the web app, the benchmarks, and the examples;
-* :class:`StudyExecutor` (:class:`SerialExecutor`,
-  :class:`ThreadPoolStudyExecutor`,
-  :class:`ProcessPoolStudyExecutor`) — per-geography parallelism with
-  deterministic ordering, across threads or geography-sharded worker
-  processes;
+* :class:`ProcessPoolStudyExecutor` / :func:`make_executor` —
+  per-geography parallelism with deterministic ordering, across
+  geography-sharded worker processes (``None`` runs in-process);
 * :class:`DatabaseCheckpoint` — durable per-geography resume through
   the collection database (the columnar alternative lives in
   :mod:`repro.store`);
@@ -41,9 +39,6 @@ from repro.runtime.checkpoint import DatabaseCheckpoint
 from repro.runtime.executor import (
     EXECUTOR_KINDS,
     ProcessPoolStudyExecutor,
-    SerialExecutor,
-    StudyExecutor,
-    ThreadPoolStudyExecutor,
     make_executor,
 )
 from repro.runtime.study import (
@@ -73,15 +68,12 @@ __all__ = [
     "RuntimeConfig",
     "STUDY_END",
     "STUDY_START",
-    "SerialExecutor",
     "ServingStats",
     "ShardStats",
     "SnapshotInstalled",
-    "StudyExecutor",
     "StudyFinished",
     "StudyRuntime",
     "StudyStarted",
-    "ThreadPoolStudyExecutor",
     "make_executor",
     "text_listener",
 ]

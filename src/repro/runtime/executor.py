@@ -1,33 +1,28 @@
-"""Study executors: the strategy for *where* per-geography work runs.
+"""Study execution: in-process, or sharded across worker processes.
 
 The paper's study is embarrassingly parallel — each geography's
 collect → stitch → average → detect chain is independent until area
-grouping — so the study driver delegates the per-geography stage to a
-pluggable :class:`StudyExecutor`.  Three implementations ship:
+grouping — so a study runs one of two ways:
 
-* :class:`SerialExecutor` — the classic single-threaded walk;
-* :class:`ThreadPoolStudyExecutor` — a bounded thread pool (one GIL,
-  good for the I/O-ish crawl, ~1× on the CPU-bound stages);
+* **in-process** — the study driver walks the geographies itself
+  (``Sift.executor is None``);
 * :class:`ProcessPoolStudyExecutor` — geography-sharded worker
   *processes*, each rebuilding the seeded deployment and analyzing its
   shard with no shared interpreter (see :mod:`repro.runtime.shard`).
 
-All of them return results **in input order**, whatever order the work
-completes in, so a seeded study produces byte-identical results
-regardless of worker count or executor kind (the frames themselves are
-deterministic per ``(request, sample_round)``; only wall-clock
-interleaving varies).
+Both return results **in input order**, so a seeded study produces
+byte-identical results regardless of worker count or executor kind
+(the frames themselves are deterministic per ``(request,
+sample_round)``; only wall-clock interleaving varies).
 
 Executor choice threads through :class:`repro.runtime.RuntimeConfig`
-(``executor="auto"|"serial"|"thread"|"process"``), the CLI
-(``--executor``), and ``/api/runtime``.
+(``executor="auto"|"serial"|"process"``), the CLI (``--executor``),
+and ``/api/runtime``.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-from collections.abc import Callable, Iterable
-from typing import TYPE_CHECKING, TypeVar
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 
@@ -36,75 +31,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.pipeline import Sift, StateResult
     from repro.timeutil import TimeWindow
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 #: Executor kinds accepted by :func:`make_executor` (and the CLI).
-EXECUTOR_KINDS: tuple[str, ...] = ("auto", "serial", "thread", "process")
+EXECUTOR_KINDS: tuple[str, ...] = ("auto", "serial", "process")
 
 
-def _check_workers(max_workers: int | None) -> None:
-    """Negative worker counts raise everywhere, not just in the pools."""
-    if max_workers is not None and max_workers < 0:
-        raise ConfigurationError(f"max_workers cannot be negative: {max_workers}")
-
-
-class StudyExecutor:
-    """Maps a function over work items, preserving input order."""
-
-    #: Registry-style name surfaced by the CLI and ``/api/runtime``.
-    kind: str = "serial"
-
-    #: Upper bound on concurrently-running items (1 = serial).
-    max_workers: int = 1
-
-    #: True when the executor drives the whole per-geography stage
-    #: itself (sharded across processes) instead of mapping a closure.
-    shards_study: bool = False
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        raise NotImplementedError
-
-
-class SerialExecutor(StudyExecutor):
-    """One item at a time, on the calling thread."""
-
-    kind = "serial"
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        return [fn(item) for item in items]
-
-
-class ThreadPoolStudyExecutor(StudyExecutor):
-    """A bounded thread pool; results still come back in input order."""
-
-    kind = "thread"
-
-    def __init__(self, max_workers: int) -> None:
-        if max_workers < 1:
-            raise ConfigurationError(f"max_workers must be positive: {max_workers}")
-        self.max_workers = max_workers
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        work = list(items)
-        if len(work) <= 1 or self.max_workers == 1:
-            return [fn(item) for item in work]
-        workers = min(self.max_workers, len(work))
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="sift-geo"
-        ) as pool:
-            # Executor.map preserves input order and re-raises the first
-            # failure, which is exactly the deterministic contract.
-            return list(pool.map(fn, work))
-
-
-class ProcessPoolStudyExecutor(StudyExecutor):
+class ProcessPoolStudyExecutor:
     """Geography-sharded worker processes with deterministic reassembly.
 
     The per-geography stage cannot ship closures across a process
-    boundary, so this executor does not run ``Sift``'s inline lambda:
-    the study driver detects ``shards_study`` and hands the whole stage
-    to :meth:`run_sharded_study`, which
+    boundary, so the study driver hands the whole stage to
+    :meth:`run_sharded_study`, which
 
     1. serves already-checkpointed geographies from the **parent**
        checkpoint first (zero-refetch resume works across executor
@@ -125,12 +61,8 @@ class ProcessPoolStudyExecutor(StudyExecutor):
     run at any worker count.
 
     The executor must be bound to a runtime via :meth:`configure`
-    before it can shard a study (``StudyRuntime`` does this); the plain
-    :meth:`map` works standalone for picklable top-level functions.
+    before it can shard a study (``StudyRuntime`` does this).
     """
-
-    kind = "process"
-    shards_study = True
 
     def __init__(self, max_workers: int) -> None:
         if max_workers < 1:
@@ -139,35 +71,19 @@ class ProcessPoolStudyExecutor(StudyExecutor):
         self._config = None  # RuntimeConfig template for shard workers
         self._database: CollectionDatabase | None = None
         self._store = None  # parent ColumnarStore, when configured
-        #: CrawlStats forwarded by worker processes, accumulated across
-        #: runs; the parent's collection layer never sees the workers'
-        #: crawls, so ``StudyRuntime.report`` folds these in to keep
-        #: lifetime accounting executor-independent.
+        #: CrawlStats and FaultStats forwarded by worker processes,
+        #: accumulated across runs; the parent's collection layer never
+        #: sees the workers' crawls, so ``StudyRuntime.report`` and
+        #: ``StudyRuntime.fault_report`` fold these in to keep lifetime
+        #: accounting executor-independent.
         self.worker_crawl: list = []
+        self.worker_faults: list = []
 
     def configure(self, config, database=None, store=None) -> None:
         """Bind the runtime pieces shard workers are rebuilt from."""
         self._config = config
         self._database = database
         self._store = store
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        """Order-preserving map over worker processes.
-
-        ``fn`` must be picklable (a top-level function); this is the
-        generic contract shared with the other executors, not the study
-        fast path (see :meth:`run_sharded_study`).
-        """
-        from repro.runtime.shard import process_context
-
-        work = list(items)
-        if len(work) <= 1 or self.max_workers == 1:
-            return [fn(item) for item in work]
-        workers = min(self.max_workers, len(work))
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=process_context()
-        ) as pool:
-            return list(pool.map(fn, work))
 
     def run_sharded_study(
         self,
@@ -193,26 +109,20 @@ class ProcessPoolStudyExecutor(StudyExecutor):
 
 def make_executor(
     max_workers: int | None, kind: str = "auto"
-) -> StudyExecutor:
-    """Build the executor for a worker count and kind.
+) -> ProcessPoolStudyExecutor | None:
+    """The executor for a worker count and kind; ``None`` means in-process.
 
-    ``kind="auto"`` preserves the historical behaviour — serial for
-    ``None``/0/1, a thread pool otherwise.  Explicit kinds are strict:
-    ``"thread"`` and ``"process"`` require a positive worker count.
-    Negative worker counts raise for every kind.
+    ``kind="auto"`` runs in-process for ``None``/0/1 workers and
+    shards across worker processes otherwise; ``"serial"`` always runs
+    in-process and ``"process"`` always shards.  Negative worker counts
+    raise for every kind.
     """
-    _check_workers(max_workers)
+    if max_workers is not None and max_workers < 0:
+        raise ConfigurationError(f"max_workers cannot be negative: {max_workers}")
     if kind not in EXECUTOR_KINDS:
         raise ConfigurationError(
             f"unknown executor kind {kind!r}; choose from {EXECUTOR_KINDS}"
         )
-    if kind == "serial":
-        return SerialExecutor()
-    if kind == "thread":
-        return ThreadPoolStudyExecutor(max_workers or 1)
-    if kind == "process":
+    if kind == "process" or (kind == "auto" and (max_workers or 1) > 1):
         return ProcessPoolStudyExecutor(max_workers or 1)
-    # auto: serial unless parallelism was asked for
-    if max_workers is None or max_workers <= 1:
-        return SerialExecutor()
-    return ThreadPoolStudyExecutor(max_workers)
+    return None

@@ -24,7 +24,9 @@ manager queue: workers put :class:`~repro.core.progress.ProgressEvent`
 dataclasses (plain picklable records), the parent drains them into the
 study's listener as they arrive, and each shard signs off with a
 :class:`~repro.core.progress.ShardStats` carrying its wall-clock and
-peak RSS.
+peak RSS.  Each shard's crawl accounting (:class:`CrawlStats`, and
+:class:`FaultStats` under chaos) travels the same way, so the parent's
+reports cover the workers' crawls.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import time
 from datetime import datetime
 from typing import TYPE_CHECKING
 
-from repro.core.progress import CrawlStats, ShardStats, peak_rss_kb
+from repro.core.progress import CrawlStats, FaultStats, ShardStats, peak_rss_kb
 from repro.timeutil import TimeWindow
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -120,6 +122,9 @@ def run_shard(
                     dead_lettered=report.dead_lettered,
                 )
             )
+            faults = runtime.fault_report()
+            if faults is not None:
+                queue.put(FaultStats(**faults.to_dict()))
             queue.put(
                 ShardStats(
                     shard=task.shard,
@@ -213,11 +218,14 @@ def run_sharded_study(
     durable_store = config.store is not None and config.checkpoint
 
     # Worker crawl accounting never reaches the parent's collection
-    # layer; capture the forwarded CrawlStats (one per shard) so
-    # StudyRuntime.report covers the whole study under any executor.
+    # layer; capture the forwarded CrawlStats and FaultStats (one each
+    # per shard) so StudyRuntime.report and fault_report cover the
+    # whole study under any executor.
     def emit(event) -> None:
         if isinstance(event, CrawlStats):
             executor.worker_crawl.append(event)
+        elif isinstance(event, FaultStats):
+            executor.worker_faults.append(event)
         sift._emit(event)
 
     # 2. Deal remaining geographies round-robin into `workers` shards

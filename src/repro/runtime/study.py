@@ -6,8 +6,9 @@ Trends service, build the fetcher fleet and database, hand the manager
 to :class:`repro.core.pipeline.Sift`.  :meth:`StudyRuntime.build` is
 that wiring, once, with the execution knobs on top:
 
-* ``max_workers`` — per-geography parallelism (serial by default;
-  results are byte-identical at any worker count for a fixed seed);
+* ``max_workers`` — per-geography parallelism (serial by default,
+  geography-sharded worker processes above one worker; results are
+  byte-identical at any worker count for a fixed seed);
 * ``database`` — ``":memory:"`` or a file path; file-backed runtimes
   checkpoint each finished geography and **resume** interrupted
   studies without recrawling;
@@ -19,7 +20,8 @@ that wiring, once, with the execution knobs on top:
 
 A hand-built :class:`repro.world.Scenario` (or population) can be
 injected for testbed experiments; the study window then defaults to
-the scenario's.
+the scenario's.  Injected worlds run in-process: shard workers rebuild
+their world from the config alone.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.core.pipeline import (
 from repro.core.progress import ProgressListener
 from repro.errors import ConfigurationError
 from repro.runtime.checkpoint import DatabaseCheckpoint
-from repro.runtime.executor import StudyExecutor, make_executor
+from repro.runtime.executor import ProcessPoolStudyExecutor, make_executor
 from repro.store import ColumnarStore
 from repro.streaming.config import StreamConfig
 from repro.timeutil import TimeWindow, utc
@@ -87,10 +89,11 @@ class RuntimeConfig:
     end: datetime = STUDY_END
     #: Workers analyzing geographies concurrently (1 = serial study).
     max_workers: int = 1
-    #: Where those workers run: ``"auto"`` (serial for one worker, a
-    #: thread pool otherwise), ``"serial"``, ``"thread"``, or
-    #: ``"process"`` (geography-sharded worker processes).  Results are
-    #: byte-identical across kinds and worker counts for a fixed seed.
+    #: Where those workers run: ``"auto"`` (in-process for one worker,
+    #: geography-sharded worker processes otherwise), ``"serial"``
+    #: (always in-process), or ``"process"`` (always sharded).  Results
+    #: are byte-identical across kinds and worker counts for a fixed
+    #: seed.
     executor: str = "auto"
     #: ``":memory:"`` or a sqlite file path (enables durable resume).
     database: str = ":memory:"
@@ -125,6 +128,17 @@ class StudyRuntime:
     ) -> None:
         self.config = config or RuntimeConfig()
         config = self.config
+        self.executor: ProcessPoolStudyExecutor | None = make_executor(
+            config.max_workers, config.executor
+        )
+        if self.executor is not None and (
+            scenario is not None or population is not None
+        ):
+            raise ConfigurationError(
+                "an injected scenario or population cannot be sharded: "
+                "worker processes rebuild the world from the config; "
+                "run it in-process (max_workers=1 or executor='serial')"
+            )
         self.scenario = scenario or Scenario.build(
             ScenarioConfig(
                 start=config.start,
@@ -171,9 +185,6 @@ class StudyRuntime:
             database=self.database,
             clock=self.clock,
         )
-        self.executor: StudyExecutor = make_executor(
-            config.max_workers, config.executor
-        )
         self.store: ColumnarStore | None = (
             ColumnarStore(
                 config.store,
@@ -199,9 +210,9 @@ class StudyRuntime:
             )
         else:
             self.checkpoint = None
-        if self.executor.shards_study:
-            # Process executors rebuild workers from the config and
-            # merge shard partitions into these parent stores.
+        if self.executor is not None:
+            # Shard workers are rebuilt from the config and their
+            # partitions merged into these parent stores.
             self.executor.configure(
                 config, database=self.database, store=self.store
             )
@@ -280,14 +291,14 @@ class StudyRuntime:
 
     @property
     def executor_kind(self) -> str:
-        """The resolved executor kind (``"auto"`` never leaks out)."""
-        return self.executor.kind
+        """The resolved executor kind: ``"serial"`` or ``"process"``."""
+        return "serial" if self.executor is None else "process"
 
     def execution_info(self) -> dict:
         """The execution policy, as ``/api/runtime`` reports it."""
         return {
-            "executor": self.executor.kind,
-            "max_workers": self.executor.max_workers,
+            "executor": self.executor_kind,
+            "max_workers": 1 if self.executor is None else self.executor.max_workers,
             "database": self.config.database,
             "store": self.config.store,
             "checkpoint": self.config.checkpoint,
@@ -383,9 +394,9 @@ class StudyRuntime:
         parent-side — worker fleets are private to their processes.
         """
         report = self.manager.report()
-        worker_crawl = getattr(self.executor, "worker_crawl", None)
-        if not worker_crawl:
+        if self.executor is None or not self.executor.worker_crawl:
             return report
+        worker_crawl = self.executor.worker_crawl
         return dataclasses.replace(
             report,
             requested=report.requested + sum(s.requested for s in worker_crawl),
@@ -427,8 +438,17 @@ class StudyRuntime:
         )
 
     def fault_report(self) -> FaultReport | None:
-        """Chaos accounting (``None`` when no faults were configured)."""
-        return self.manager.fault_report()
+        """Chaos accounting (``None`` when no faults were configured).
+
+        Like :meth:`report`, folds in the fault accounting that process
+        shards forward (one :class:`~repro.core.progress.FaultStats`
+        per shard), so the report covers the whole study regardless of
+        executor.
+        """
+        report = self.manager.fault_report()
+        if report is None or self.executor is None:
+            return report
+        return report.plus(self.executor.worker_faults)
 
     def completed_geos(self, window: TimeWindow | None = None) -> tuple[str, ...]:
         """Geographies already checkpointed for the study window."""

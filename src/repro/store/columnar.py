@@ -43,7 +43,6 @@ import dataclasses
 import json
 import os
 import shutil
-import threading
 from datetime import datetime
 
 import numpy as np
@@ -92,7 +91,6 @@ class ColumnarStore(StudyCheckpoint):
         #: ``False`` loads materialized copies (for callers that must
         #: outlive the store directory); the default maps pages lazily.
         self.mmap = mmap
-        self._lock = threading.Lock()
         os.makedirs(os.path.join(root, SERIES_DIR), exist_ok=True)
         #: ``*.tmp`` leftovers from interrupted writes, removed on open
         #: before they can ever be mistaken for partitions.
@@ -170,20 +168,19 @@ class ColumnarStore(StudyCheckpoint):
         like the sqlite series row), so an interrupt between the two
         writes can never leave a checkpoint that looks complete.
         """
-        with self._lock:
-            digest, nbytes = self._write_column(result.geo, result.timeline.values)
-            manifest = self._read_manifest()
-            manifest["geos"][result.geo] = {
-                "file": f"{SERIES_DIR}/{result.geo}.npy",
-                "start": result.timeline.start.isoformat(),
-                "hours": len(result.timeline),
-                "dtype": "float64",
-                "digest": digest,
-                "bytes": nbytes,
-                "meta": state_meta(result, window),
-                "spikes": spikes_to_dicts(result.spikes),
-            }
-            self._write_manifest(manifest)
+        digest, nbytes = self._write_column(result.geo, result.timeline.values)
+        manifest = self._read_manifest()
+        manifest["geos"][result.geo] = {
+            "file": f"{SERIES_DIR}/{result.geo}.npy",
+            "start": result.timeline.start.isoformat(),
+            "hours": len(result.timeline),
+            "dtype": "float64",
+            "digest": digest,
+            "bytes": nbytes,
+            "meta": state_meta(result, window),
+            "spikes": spikes_to_dicts(result.spikes),
+        }
+        self._write_manifest(manifest)
 
     def load_state(self, geo: str, window: TimeWindow) -> StateResult | None:
         entry = self._read_manifest()["geos"].get(geo)
@@ -209,16 +206,15 @@ class ColumnarStore(StudyCheckpoint):
 
     def save_annotated(self, spikes: SpikeSet) -> None:
         """Overwrite stored spikes with their final annotated versions."""
-        with self._lock:
-            manifest = self._read_manifest()
-            by_geo: dict[str, list[dict]] = {}
-            for spike in spikes:
-                by_geo.setdefault(spike.geo, []).append(spike.to_dict())
-            for geo, rows in by_geo.items():
-                entry = manifest["geos"].get(geo)
-                if entry is not None:
-                    entry["spikes"] = rows
-            self._write_manifest(manifest)
+        manifest = self._read_manifest()
+        by_geo: dict[str, list[dict]] = {}
+        for spike in spikes:
+            by_geo.setdefault(spike.geo, []).append(spike.to_dict())
+        for geo, rows in by_geo.items():
+            entry = manifest["geos"].get(geo)
+            if entry is not None:
+                entry["spikes"] = rows
+        self._write_manifest(manifest)
 
     def completed_geos(self, window: TimeWindow) -> tuple[str, ...]:
         """Geographies checkpointed for *window* (sorted, manifest-only)."""
@@ -238,16 +234,15 @@ class ColumnarStore(StudyCheckpoint):
         original :class:`StudyResult` fingerprint exactly (annotated
         spikes, heavy hitters, resumed geographies and all).
         """
-        with self._lock:
-            manifest = self._read_manifest()
-            manifest["study"] = {
-                "window_start": study.window.start.isoformat(),
-                "window_end": study.window.end.isoformat(),
-                "heavy_hitters": list(study.heavy_hitters),
-                "suggestion_stats": list(study.suggestion_stats),
-                "resumed_geos": list(study.resumed_geos),
-            }
-            self._write_manifest(manifest)
+        manifest = self._read_manifest()
+        manifest["study"] = {
+            "window_start": study.window.start.isoformat(),
+            "window_end": study.window.end.isoformat(),
+            "heavy_hitters": list(study.heavy_hitters),
+            "suggestion_stats": list(study.suggestion_stats),
+            "resumed_geos": list(study.resumed_geos),
+        }
+        self._write_manifest(manifest)
 
     def load_study(
         self, window: TimeWindow | None = None, area: AreaConfig | None = None
@@ -314,28 +309,27 @@ class ColumnarStore(StudyCheckpoint):
         interrupt can never leave a stream entry pointing at a missing
         or stale column.
         """
-        with self._lock:
-            manifest = self._read_manifest()
-            stream_columns = dict(manifest.get("stream_columns", {}))
-            for geo in sorted(columns):
-                digest, nbytes = self._write_npy(
-                    self._stream_column_path(geo), columns[geo]
-                )
-                stream_columns[geo] = {
-                    "file": f"{SERIES_DIR}/{geo}.stream.npy",
-                    "digest": digest,
-                    "bytes": nbytes,
-                }
-            # Entries for geos absent from the new state are stale
-            # (e.g. a narrowed stream): drop them with their state.
-            stream_columns = {
-                geo: info
-                for geo, info in stream_columns.items()
-                if geo in state.get("geos", {})
+        manifest = self._read_manifest()
+        stream_columns = dict(manifest.get("stream_columns", {}))
+        for geo in sorted(columns):
+            digest, nbytes = self._write_npy(
+                self._stream_column_path(geo), columns[geo]
+            )
+            stream_columns[geo] = {
+                "file": f"{SERIES_DIR}/{geo}.stream.npy",
+                "digest": digest,
+                "bytes": nbytes,
             }
-            manifest["stream"] = state
-            manifest["stream_columns"] = stream_columns
-            self._write_manifest(manifest)
+        # Entries for geos absent from the new state are stale
+        # (e.g. a narrowed stream): drop them with their state.
+        stream_columns = {
+            geo: info
+            for geo, info in stream_columns.items()
+            if geo in state.get("geos", {})
+        }
+        manifest["stream"] = state
+        manifest["stream_columns"] = stream_columns
+        self._write_manifest(manifest)
 
     def load_stream(self) -> dict | None:
         """The last streamed checkpoint state, or ``None`` when fresh."""
@@ -353,16 +347,15 @@ class ColumnarStore(StudyCheckpoint):
 
     def clear_stream(self) -> None:
         """Drop the stream checkpoint (a finished stream needs none)."""
-        with self._lock:
-            manifest = self._read_manifest()
-            dropped = manifest.pop("stream", None) is not None
-            dropped |= manifest.pop("stream_columns", None) is not None
-            if dropped:
-                self._write_manifest(manifest)
-            stream_dir = os.path.join(self.root, SERIES_DIR)
-            for name in os.listdir(stream_dir):
-                if name.endswith(".stream.npy"):
-                    os.remove(os.path.join(stream_dir, name))
+        manifest = self._read_manifest()
+        dropped = manifest.pop("stream", None) is not None
+        dropped |= manifest.pop("stream_columns", None) is not None
+        if dropped:
+            self._write_manifest(manifest)
+        stream_dir = os.path.join(self.root, SERIES_DIR)
+        for name in os.listdir(stream_dir):
+            if name.endswith(".stream.npy"):
+                os.remove(os.path.join(stream_dir, name))
 
     # -- integrity -------------------------------------------------------------
 
@@ -449,68 +442,67 @@ class ColumnarStore(StudyCheckpoint):
         not dropped from the configuration — and re-crawls exactly
         them.  Everything undamaged remains servable untouched.
         """
-        with self._lock:
-            manifest = self._read_manifest()
-            stream_columns = manifest.get("stream_columns", {})
-            damage: list[PartitionDamage] = []
-            checked = 0
-            all_geos = sorted(set(manifest["geos"]) | set(stream_columns))
-            for geo in all_geos:
-                entry = manifest["geos"].get(geo)
-                if entry is not None:
-                    checked += self._check_file(geo, entry["file"], entry, damage)
-                stream_entry = stream_columns.get(geo)
-                if stream_entry is not None:
-                    checked += self._check_file(
-                        geo, stream_entry["file"], stream_entry, damage
-                    )
-            damaged_geos = sorted({item.geo for item in damage})
-            intact = tuple(geo for geo in all_geos if geo not in damaged_geos)
-            quarantined: list[str] = []
-            if quarantine and damaged_geos:
-                moved: set[str] = set()
-                stream_state = manifest.get("stream")
-                for geo in damaged_geos:
-                    for relfile in (
-                        f"{SERIES_DIR}/{geo}.npy",
-                        f"{SERIES_DIR}/{geo}.stream.npy",
-                    ):
-                        path = os.path.join(self.root, relfile)
-                        if os.path.exists(path):
-                            os.replace(path, path + ".quarantine")
-                            moved.add(relfile)
-                    manifest["geos"].pop(geo, None)
-                    stream_columns.pop(geo, None)
-                    if stream_state is not None:
-                        stream_state.get("geos", {}).pop(geo, None)
-                        stream_state.setdefault("quarantined", {})[geo] = (
-                            "; ".join(
-                                sorted(
-                                    {
-                                        item.kind
-                                        for item in damage
-                                        if item.geo == geo
-                                    }
-                                )
+        manifest = self._read_manifest()
+        stream_columns = manifest.get("stream_columns", {})
+        damage: list[PartitionDamage] = []
+        checked = 0
+        all_geos = sorted(set(manifest["geos"]) | set(stream_columns))
+        for geo in all_geos:
+            entry = manifest["geos"].get(geo)
+            if entry is not None:
+                checked += self._check_file(geo, entry["file"], entry, damage)
+            stream_entry = stream_columns.get(geo)
+            if stream_entry is not None:
+                checked += self._check_file(
+                    geo, stream_entry["file"], stream_entry, damage
+                )
+        damaged_geos = sorted({item.geo for item in damage})
+        intact = tuple(geo for geo in all_geos if geo not in damaged_geos)
+        quarantined: list[str] = []
+        if quarantine and damaged_geos:
+            moved: set[str] = set()
+            stream_state = manifest.get("stream")
+            for geo in damaged_geos:
+                for relfile in (
+                    f"{SERIES_DIR}/{geo}.npy",
+                    f"{SERIES_DIR}/{geo}.stream.npy",
+                ):
+                    path = os.path.join(self.root, relfile)
+                    if os.path.exists(path):
+                        os.replace(path, path + ".quarantine")
+                        moved.add(relfile)
+                manifest["geos"].pop(geo, None)
+                stream_columns.pop(geo, None)
+                if stream_state is not None:
+                    stream_state.get("geos", {}).pop(geo, None)
+                    stream_state.setdefault("quarantined", {})[geo] = (
+                        "; ".join(
+                            sorted(
+                                {
+                                    item.kind
+                                    for item in damage
+                                    if item.geo == geo
+                                }
                             )
                         )
-                    quarantined.append(geo)
-                fsync_directory(os.path.join(self.root, SERIES_DIR))
-                self._write_manifest(manifest)
-                damage = [
-                    dataclasses.replace(
-                        item, quarantined_to=item.file + ".quarantine"
                     )
-                    if item.file in moved
-                    else item
-                    for item in damage
-                ]
-            return StoreVerification(
-                checked=checked,
-                intact=intact,
-                damage=tuple(damage),
-                quarantined=tuple(quarantined),
-            )
+                quarantined.append(geo)
+            fsync_directory(os.path.join(self.root, SERIES_DIR))
+            self._write_manifest(manifest)
+            damage = [
+                dataclasses.replace(
+                    item, quarantined_to=item.file + ".quarantine"
+                )
+                if item.file in moved
+                else item
+                for item in damage
+            ]
+        return StoreVerification(
+            checked=checked,
+            intact=intact,
+            damage=tuple(damage),
+            quarantined=tuple(quarantined),
+        )
 
     # -- shard partitions ------------------------------------------------------
 
@@ -537,21 +529,20 @@ class ColumnarStore(StudyCheckpoint):
         if not os.path.exists(partition_manifest_path):
             shutil.rmtree(root, ignore_errors=True)
             return  # a shard that resumed everything writes nothing
-        with self._lock:
-            with open(partition_manifest_path, encoding="utf-8") as handle:
-                partition = json.load(handle)
-            manifest = self._read_manifest()
-            for geo in sorted(partition["geos"]):
-                entry = partition["geos"][geo]
-                os.replace(
-                    os.path.join(root, entry["file"]),
-                    self._column_path(geo),
-                )
-                entry["file"] = f"{SERIES_DIR}/{geo}.npy"
-                manifest["geos"][geo] = entry
-            fsync_directory(os.path.join(self.root, SERIES_DIR))
-            self._write_manifest(manifest)
-            shutil.rmtree(root, ignore_errors=True)
+        with open(partition_manifest_path, encoding="utf-8") as handle:
+            partition = json.load(handle)
+        manifest = self._read_manifest()
+        for geo in sorted(partition["geos"]):
+            entry = partition["geos"][geo]
+            os.replace(
+                os.path.join(root, entry["file"]),
+                self._column_path(geo),
+            )
+            entry["file"] = f"{SERIES_DIR}/{geo}.npy"
+            manifest["geos"][geo] = entry
+        fsync_directory(os.path.join(self.root, SERIES_DIR))
+        self._write_manifest(manifest)
+        shutil.rmtree(root, ignore_errors=True)
 
     # -- sqlite interop --------------------------------------------------------
 
@@ -571,20 +562,19 @@ class ColumnarStore(StudyCheckpoint):
                 continue
             start, values = series
             spikes = database.load_spikes(term=self.term, geo=geo)
-            with self._lock:
-                digest, nbytes = self._write_column(geo, values)
-                manifest = self._read_manifest()
-                manifest["geos"][geo] = {
-                    "file": f"{SERIES_DIR}/{geo}.npy",
-                    "start": start.isoformat(),
-                    "hours": int(values.size),
-                    "dtype": "float64",
-                    "digest": digest,
-                    "bytes": nbytes,
-                    "meta": meta,
-                    "spikes": spikes_to_dicts(spikes),
-                }
-                self._write_manifest(manifest)
+            digest, nbytes = self._write_column(geo, values)
+            manifest = self._read_manifest()
+            manifest["geos"][geo] = {
+                "file": f"{SERIES_DIR}/{geo}.npy",
+                "start": start.isoformat(),
+                "hours": int(values.size),
+                "dtype": "float64",
+                "digest": digest,
+                "bytes": nbytes,
+                "meta": meta,
+                "spikes": spikes_to_dicts(spikes),
+            }
+            self._write_manifest(manifest)
             imported.append(geo)
         return tuple(imported)
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import threading
 from collections import Counter
 
 from repro.errors import ConfigurationError, TickCrashError, WatchdogTimeout
@@ -168,7 +167,6 @@ class ProcessChaos:
         self.watchdog: Watchdog | None = None
         self.injected: Counter = Counter()
         self._attempts: Counter = Counter()
-        self._lock = threading.Lock()
 
     def fetch_fault(
         self, term: str, geo: str, window: TimeWindow, sample_round: int
@@ -176,8 +174,8 @@ class ProcessChaos:
         """The planned fault for one fetch attempt: "crash", "stall", None.
 
         Keyed by request identity + per-identity attempt count, so the
-        decision is independent of thread interleaving, and a restarted
-        tick's refetch of the same frame draws fresh.
+        decision is independent of crawl order, and a restarted tick's
+        refetch of the same frame draws fresh.
         """
         identity = (
             term,
@@ -186,9 +184,8 @@ class ProcessChaos:
             window.end.isoformat(),
             sample_round,
         )
-        with self._lock:
-            attempt = self._attempts[identity]
-            self._attempts[identity] += 1
+        attempt = self._attempts[identity]
+        self._attempts[identity] += 1
         if not (self.profile.crash_rate or self.profile.stall_rate):
             return None
         rng = substream(self.seed, "process", *identity, attempt)
@@ -212,11 +209,10 @@ class ProcessChaos:
         return geo, kind
 
     def injection_counts(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                kind: self.injected.get(kind, 0)
-                for kind in ("crash", "stall", "truncate", "bitflip")
-            }
+        return {
+            kind: self.injected.get(kind, 0)
+            for kind in ("crash", "stall", "truncate", "bitflip")
+        }
 
 
 class ChaoticFrameSource:
@@ -248,15 +244,13 @@ class ChaoticFrameSource:
             term, geo, window, sample_round if sample_round is not None else 0
         )
         if fault == "crash":
-            with self.chaos._lock:
-                self.chaos.injected["crash"] += 1
+            self.chaos.injected["crash"] += 1
             raise TickCrashError(
                 f"injected process crash mid-crawl ({geo}, "
                 f"..{window.end:%Y-%m-%d}, round {sample_round})"
             )
         if fault == "stall":
-            with self.chaos._lock:
-                self.chaos.injected["stall"] += 1
+            self.chaos.injected["stall"] += 1
             if self.chaos.clock is not None:
                 self.chaos.clock.sleep(self.chaos.profile.stall_seconds)
             if self.chaos.watchdog is not None:

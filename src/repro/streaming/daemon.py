@@ -280,11 +280,6 @@ class StudyDaemon:
             rounds = config.averaging.min_rounds
         else:
             rounds = stream.rounds
-        if getattr(self.sift.executor, "shards_study", False):
-            raise ConfigurationError(
-                "streaming keeps per-geo state in-process; the process-"
-                "sharded executor cannot drive it — use serial or thread"
-            )
         self.stream = stream
         self.rounds = rounds
         self.geos = tuple(geos)
@@ -406,14 +401,10 @@ class StudyDaemon:
         frame = self.frames[tick]
         started = time.perf_counter()
         self._fetch_seconds = {}
-        executor = self.sift.executor
-        if executor is not None and hasattr(executor, "map"):
-            executor.map(
-                lambda geo: self._ingest_geo(geo, tick, frame), list(self.geos)
-            )
-        else:
-            for geo in self.geos:
-                self._ingest_geo(geo, tick, frame)
+        # Per-geo stream state lives in this process, so ingest is
+        # serial whatever executor the runtime's batch studies use.
+        for geo in self.geos:
+            self._ingest_geo(geo, tick, frame)
         study, delta = self._snapshot(tick)
         self._last_study = study
         self._next_tick = tick + 1

@@ -415,8 +415,7 @@ class DaemonSupervisor:
             torn_bytes=self.chaos.profile.torn_bytes,
         )
         if damaged is not None:
-            with self.chaos._lock:
-                self.chaos.injected[kind] += 1
+            self.chaos.injected[kind] += 1
 
     # -- health ----------------------------------------------------------------
 

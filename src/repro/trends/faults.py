@@ -14,7 +14,7 @@ the simulator hostile *on demand*:
   from a :func:`repro.rand.substream` keyed by the *request identity*
   (term, geo, window, round, attempt) — never by arrival order — so a
   chaos run is bit-reproducible from ``(seed, profile)`` and identical
-  whether the study runs serially or across a worker pool;
+  whether the study runs serially or sharded across worker processes;
 * :class:`FaultyTrendsService` — a drop-in wrapper over
   :class:`repro.trends.service.TrendsService` that injects the planned
   faults and counts every injection, per kind and per IP.
@@ -221,6 +221,40 @@ class FaultReport:
             "dead_letters": self.dead_letters,
             "blackout_rejections": dict(self.blackout_rejections),
         }
+
+    def plus(self, others) -> "FaultReport":
+        """This report with the counters of *others* added in.
+
+        *others* are reports (or :class:`~repro.core.progress.FaultStats`
+        events, which carry the same fields) of the same profile and
+        seed — e.g. the per-shard accounting of a process-sharded study.
+        """
+        merged = self
+        for other in others:
+            merged = FaultReport(
+                profile=merged.profile,
+                seed=merged.seed,
+                injected=_add_counts(merged.injected, other.injected),
+                observed=_add_counts(merged.observed, other.observed),
+                retries=merged.retries + other.retries,
+                breaker_opened=merged.breaker_opened + other.breaker_opened,
+                breaker_half_opened=merged.breaker_half_opened
+                + other.breaker_half_opened,
+                breaker_closed=merged.breaker_closed + other.breaker_closed,
+                dead_letters=merged.dead_letters + other.dead_letters,
+                blackout_rejections=_add_counts(
+                    merged.blackout_rejections, other.blackout_rejections
+                ),
+            )
+        return merged
+
+
+def _add_counts(first: dict[str, int], second: dict[str, int]) -> dict[str, int]:
+    """Per-key sum of two counter dicts (zero counts are kept)."""
+    merged = dict(first)
+    for key, count in second.items():
+        merged[key] = merged.get(key, 0) + count
+    return merged
 
 
 class FaultPlan:

@@ -4,21 +4,21 @@ Every test here runs on virtual time (:class:`SimulatedClock`) — a
 soak that injects minutes of timeouts and blackouts finishes in well
 under a second of wall clock.  The properties proved:
 
-* every named fault profile completes the study, in serial and with
-  four analysis workers;
+* every named fault profile completes the study, in serial and
+  sharded across worker processes;
 * chaos runs are bit-reproducible: ``(profile, seed)`` determines the
   injected faults, the fault report, and the study output exactly;
 * when nothing is dead-lettered the spike set is *identical* to the
   fault-free golden run — retries and reassignment fully absorb the
   injected faults;
 * every injected fault is observed exactly once by a client retry
-  (exactly-once accounting between injector and crawl);
+  (exactly-once accounting between injector and crawl), and a sharded
+  study's fault report covers the crawls inside its worker processes;
 * per-IP blackouts trip the circuit breaker within its failure
   threshold, work is reassigned, and the breaker recovers through
   half-open probes once the IP comes back;
-* dead letters are recorded exactly once per work item even under
-  concurrent single-flight callers, and the pipeline degrades
-  gracefully (bounded frame loss, progress events) instead of dying.
+* the pipeline degrades gracefully under dead letters (bounded frame
+  loss, progress events) instead of dying.
 
 ``CHAOS_SEED`` in the environment re-runs the soaks under a different
 fault schedule (the CI matrix does this); every property is seed-
@@ -34,17 +34,12 @@ import time
 import pytest
 
 from repro.collection.breaker import BreakerConfig
-from repro.collection.database import CollectionDatabase
-from repro.collection.fetchers import WorkItem, build_fleet
-from repro.collection.scheduler import CollectionScheduler
 from repro.core import SiftConfig
 from repro.core.averaging import AveragingConfig
 from repro.core.progress import CrawlStats, FaultStats, FramesDropped, ProgressLog
-from repro.errors import FrameDeadLettered, TransientServiceError
 from repro.runtime.study import StudyRuntime
-from repro.timeutil import TimeWindow, utc
+from repro.timeutil import utc
 from repro.trends.faults import PROFILES, FaultProfile
-from repro.trends.ratelimit import SimulatedClock
 from repro.web.app import SiftWebApp
 
 #: Overridable by the CI chaos-smoke matrix; every assertion below is
@@ -54,7 +49,6 @@ GEOS = ("US-TX", "US-CA")
 START, END = utc(2021, 1, 1), utc(2021, 2, 1)
 SIFT = SiftConfig(annotate=False)
 PROFILE_NAMES = tuple(sorted(PROFILES))
-WEEK = TimeWindow(utc(2021, 1, 4), utc(2021, 1, 11))
 
 
 @pytest.fixture(autouse=True)
@@ -81,7 +75,10 @@ def _hang_guard():
         signal.signal(signal.SIGALRM, previous)
 
 
-def run_chaos(profile, seed=SEED, workers=1, fetchers=4, sift=SIFT, progress=None):
+def run_chaos(
+    profile, seed=SEED, workers=1, fetchers=4, sift=SIFT, progress=None,
+    executor="auto",
+):
     """One small study under the given fault profile; returns (study, report)."""
     runtime = StudyRuntime.build(
         background_scale=0.3,
@@ -89,6 +86,7 @@ def run_chaos(profile, seed=SEED, workers=1, fetchers=4, sift=SIFT, progress=Non
         end=END,
         fetcher_count=fetchers,
         max_workers=workers,
+        executor=executor,
         checkpoint=False,
         sift=sift,
         faults=profile,
@@ -104,6 +102,23 @@ def run_chaos(profile, seed=SEED, workers=1, fetchers=4, sift=SIFT, progress=Non
 
 def spike_dicts(study) -> list[dict]:
     return [spike.to_dict() for spike in study.spikes]
+
+
+def assert_every_fault_observed_once(report) -> None:
+    """Each injected fault kind matches the client retries it causes."""
+    injected, observed = dict(report.injected), dict(report.observed)
+    # Blackout rejections surface to the client as 503-style errors.
+    assert observed.get("TransientServiceError", 0) == (
+        injected["transient"] + injected["blackout"]
+    )
+    assert observed.get("RequestTimeout", 0) == injected["timeout"]
+    assert observed.get("TruncatedFrameError", 0) == injected["truncated"]
+    assert observed.get("DegradedFrameError", 0) == injected["degraded"]
+    # A quota reset drains the bucket, so the very request that
+    # triggered it is rate-limited at least once.
+    assert observed.get("RateLimitError", 0) >= injected["quota_reset"]
+    # Nothing is double-counted and nothing vanishes.
+    assert sum(observed.values()) == report.retries
 
 
 @pytest.fixture(scope="module")
@@ -137,11 +152,17 @@ class TestChaosSoak:
         assert spike_dicts(first_study) == spike_dicts(second_study)
 
     def test_parallel_spikes_match_serial(self):
-        """Four analysis workers cannot perturb the detected spikes."""
+        """Worker processes perturb neither the detected spikes nor the
+        chaos accounting: the shards' fault reports fold into the
+        parent's, so injected faults are counted and observed."""
         serial, _ = run_chaos("hostile", workers=1)
-        parallel, parallel_report = run_chaos("hostile", workers=4)
+        parallel, parallel_report = run_chaos(
+            "hostile", workers=2, executor="process"
+        )
         assert spike_dicts(parallel) == spike_dicts(serial)
         assert parallel_report.dead_letters == 0
+        assert parallel_report.total_injected > 0
+        assert_every_fault_observed_once(parallel_report)
 
     def test_seed_changes_the_injection_schedule(self):
         _, first = run_chaos("hostile", seed=SEED)
@@ -173,19 +194,7 @@ class TestExactlyOnceAccounting:
     @pytest.mark.parametrize("profile", PROFILE_NAMES)
     def test_observed_retries_match_injected_faults(self, profile):
         _, report = run_chaos(profile)
-        injected, observed = dict(report.injected), dict(report.observed)
-        # Blackout rejections surface to the client as 503-style errors.
-        assert observed.get("TransientServiceError", 0) == (
-            injected["transient"] + injected["blackout"]
-        )
-        assert observed.get("RequestTimeout", 0) == injected["timeout"]
-        assert observed.get("TruncatedFrameError", 0) == injected["truncated"]
-        assert observed.get("DegradedFrameError", 0) == injected["degraded"]
-        # A quota reset drains the bucket, so the very request that
-        # triggered it is rate-limited at least once.
-        assert observed.get("RateLimitError", 0) >= injected["quota_reset"]
-        # Nothing is double-counted and nothing vanishes.
-        assert sum(observed.values()) == report.retries
+        assert_every_fault_observed_once(report)
 
 
 class TestBreakerShedsLoad:
@@ -219,63 +228,7 @@ class TestBreakerShedsLoad:
         assert spike_dicts(study) == golden_spikes
 
 
-class _AlwaysDown:
-    """A service whose first caller blocks on a gate, then everyone 503s."""
-
-    def __init__(self, gate: threading.Event) -> None:
-        self.gate = gate
-        self.calls = 0
-        self._lock = threading.Lock()
-
-    def fetch(self, request, *, ip, sample_round=None, include_rising=True):
-        with self._lock:
-            self.calls += 1
-            first = self.calls == 1
-        if first:
-            self.gate.wait(timeout=30)
-        raise TransientServiceError("503: backend unavailable")
-
-
 class TestDeadLetters:
-    def test_dead_letter_recorded_exactly_once_across_threads(self):
-        """Concurrent callers of a doomed item share one DLQ record."""
-        gate = threading.Event()
-        service = _AlwaysDown(gate)
-        clock = SimulatedClock()
-        fleet = build_fleet(service, 2, sleep=clock.sleep, clock=clock)
-        scheduler = CollectionScheduler(fleet, CollectionDatabase())
-        item = WorkItem("Internet outage", "US-TX", WEEK)
-
-        failures: list[FrameDeadLettered] = []
-        failures_lock = threading.Lock()
-
-        def crawl():
-            try:
-                scheduler.fetch_one(item)
-            except FrameDeadLettered as error:
-                with failures_lock:
-                    failures.append(error)
-
-        owner = threading.Thread(target=crawl)
-        owner.start()
-        deadline = time.monotonic() + 10
-        while service.calls == 0 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert service.calls == 1  # the owner is parked on the gate
-        waiters = [threading.Thread(target=crawl) for _ in range(7)]
-        for thread in waiters:
-            thread.start()
-        time.sleep(0.2)  # let every waiter join the single flight
-        gate.set()
-        owner.join(timeout=30)
-        for thread in waiters:
-            thread.join(timeout=30)
-
-        assert len(failures) == 8  # every caller saw the dead letter
-        assert len(scheduler.dead_letters) == 1  # ... recorded exactly once
-        (entry,) = scheduler.dead_letters.entries()
-        assert entry.item == item
-
     def test_pipeline_survives_dead_letters_with_bounded_loss(self):
         """An unabsorbable profile degrades the study, never kills it.
 

@@ -1,7 +1,7 @@
-"""Tests for the one-stop environment wiring."""
+"""Tests for the one-stop deployment wiring of ``StudyRuntime.build``."""
 
 
-from repro import ALL_GEOS, STUDY_END, STUDY_START, make_environment, utc
+from repro import ALL_GEOS, STUDY_END, STUDY_START, StudyRuntime, utc
 from repro.core.pipeline import StudyResult
 
 
@@ -26,10 +26,10 @@ class TestWiring:
         assert small_env.window.end == small_env.config.end
 
     def test_deterministic_rebuild(self):
-        a = make_environment(
+        a = StudyRuntime.build(
             background_scale=0.1, start=utc(2021, 1, 1), end=utc(2021, 2, 1)
         )
-        b = make_environment(
+        b = StudyRuntime.build(
             background_scale=0.1, start=utc(2021, 1, 1), end=utc(2021, 2, 1)
         )
         ra = a.sift.analyze_state("US-WY", a.window)

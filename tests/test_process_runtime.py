@@ -1,8 +1,7 @@
 """Tests for the process-sharded study executor.
 
 The contract: a study run on geography-sharded worker processes is
-**byte-identical** to the same study run serially or on threads, at any
-worker count; shard partitions merge deterministically into the parent
+**byte-identical** to the same study run serially, at any worker count; shard partitions merge deterministically into the parent
 stores; resume works across executor switches with zero refetches; and
 the workers' structured progress (including per-shard wall-clock and
 peak RSS) reaches the parent listener.
@@ -46,26 +45,13 @@ class TestProcessDeterminism:
         ).run_study(geos=MINI_GEOS)
         assert study.fingerprint() == serial_study.fingerprint()
         assert spike_dicts(study) == spike_dicts(serial_study)
+        assert study.heavy_hitters == serial_study.heavy_hitters
+        assert study.suggestion_stats == serial_study.suggestion_stats
         for geo in MINI_GEOS:
             assert (
                 study.states[geo].timeline.values.tobytes()
                 == serial_study.states[geo].timeline.values.tobytes()
             )
-
-    def test_thread_study_identical_to_process(self, serial_study):
-        threaded = build_runtime(
-            max_workers=2, executor="thread"
-        ).run_study(geos=MINI_GEOS)
-        sharded = build_runtime(
-            max_workers=2, executor="process"
-        ).run_study(geos=MINI_GEOS)
-        assert (
-            threaded.fingerprint()
-            == sharded.fingerprint()
-            == serial_study.fingerprint()
-        )
-        assert threaded.heavy_hitters == sharded.heavy_hitters
-        assert threaded.suggestion_stats == sharded.suggestion_stats
 
 
 class TestShardPartitions:

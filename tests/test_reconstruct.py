@@ -548,14 +548,16 @@ class TestPipelineIntegration:
         self, small_population
     ):
         """The acceptance bar: an explicitly-selected default backend
-        reproduces the implicit default byte for byte, serial or not."""
+        reproduces the implicit default byte for byte.  An injected
+        population always runs in-process; worker-count independence is
+        pinned by the process-executor tests (test_process_runtime)."""
         from repro.core.pipeline import SiftConfig
         from repro.runtime import StudyRuntime
 
         config = AveragingConfig(min_rounds=2, max_rounds=3)
         geos = ("US-TX", "US-WY")
 
-        def run(workers: int, explicit: bool):
+        def run(explicit: bool):
             runtime = StudyRuntime.build(
                 population=small_population,
                 sift=(
@@ -568,20 +570,18 @@ class TestPipelineIntegration:
                     if explicit
                     else SiftConfig(averaging=config, annotate=False)
                 ),
-                max_workers=workers,
                 checkpoint=False,
             )
             return runtime.run_study(geos=geos)
 
-        reference = run(workers=1, explicit=False)
-        for workers, explicit in ((1, True), (3, True)):
-            study = run(workers=workers, explicit=explicit)
-            assert study.fingerprint() == reference.fingerprint()
-            for geo in geos:
-                assert (
-                    study.states[geo].timeline.values.tobytes()
-                    == reference.states[geo].timeline.values.tobytes()
-                )
+        reference = run(explicit=False)
+        study = run(explicit=True)
+        assert study.fingerprint() == reference.fingerprint()
+        for geo in geos:
+            assert (
+                study.states[geo].timeline.values.tobytes()
+                == reference.states[geo].timeline.values.tobytes()
+            )
 
     def test_alternate_backend_changes_the_name_not_the_contract(
         self, small_population

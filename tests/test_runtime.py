@@ -4,7 +4,7 @@ The contract under test is the one the paper's deployment needs:
 
 * a seeded study is identical serial or parallel (determinism);
 * the collection layer crawls each frame exactly once, however many
-  workers race for it (politeness under rate limiting);
+  crawl threads a bulk crawl uses (politeness under rate limiting);
 * a file-backed study survives interrupts and resumes completed
   geographies without recrawling a single frame (durability).
 """
@@ -32,9 +32,7 @@ from repro.core.progress import (
 from repro.errors import CheckpointMismatchError, ConfigurationError, DatabaseError
 from repro.runtime import (
     ProcessPoolStudyExecutor,
-    SerialExecutor,
     StudyRuntime,
-    ThreadPoolStudyExecutor,
     make_executor,
 )
 from repro.timeutil import TimeWindow, utc, weekly_frames
@@ -61,63 +59,45 @@ def spike_dicts(study) -> list[dict]:
 
 class TestExecutors:
     def test_make_executor_serial_for_one(self):
-        assert isinstance(make_executor(None), SerialExecutor)
-        assert isinstance(make_executor(1), SerialExecutor)
-        assert isinstance(make_executor(4), ThreadPoolStudyExecutor)
-
-    def test_thread_pool_rejects_nonpositive(self):
-        with pytest.raises(ConfigurationError):
-            ThreadPoolStudyExecutor(0)
+        # ``None`` runs the per-geography stage in-process; more than
+        # one worker shards it across processes.
+        assert make_executor(None) is None
+        assert make_executor(1) is None
+        assert isinstance(make_executor(4), ProcessPoolStudyExecutor)
+        assert make_executor(4).max_workers == 4
 
     def test_negative_workers_raise_everywhere(self):
         # make_executor used to silently fall back to serial for
         # negative counts while the pool constructors raised.
-        for kind in ("auto", "serial", "thread", "process"):
+        for kind in ("auto", "serial", "process"):
             with pytest.raises(ConfigurationError):
                 make_executor(-3, kind)
-        with pytest.raises(ConfigurationError):
-            ThreadPoolStudyExecutor(-3)
-        with pytest.raises(ConfigurationError):
-            ProcessPoolStudyExecutor(-3)
+        for workers in (-3, 0):
+            with pytest.raises(ConfigurationError):
+                ProcessPoolStudyExecutor(workers)
 
     def test_explicit_kinds_map_to_executors(self):
-        assert isinstance(make_executor(4, "serial"), SerialExecutor)
-        assert isinstance(make_executor(4, "thread"), ThreadPoolStudyExecutor)
+        assert make_executor(4, "serial") is None
         assert isinstance(make_executor(4, "process"), ProcessPoolStudyExecutor)
         assert make_executor(4, "process").max_workers == 4
-        with pytest.raises(ConfigurationError):
-            make_executor(4, "fibers")
+        for kind in ("thread", "fibers"):
+            with pytest.raises(ConfigurationError):
+                make_executor(4, kind)
 
     def test_unbound_process_executor_refuses_to_shard(self):
         executor = ProcessPoolStudyExecutor(2)
-        assert executor.shards_study
         with pytest.raises(ConfigurationError, match="not bound"):
             executor.run_sharded_study(
                 None, ("US-TX",), TimeWindow(WINDOW_START, WINDOW_END)
             )
 
-    def test_map_preserves_input_order(self):
-        barrier = threading.Barrier(4)
-
-        def slow_identity(item: int) -> int:
-            barrier.wait(timeout=5)  # force genuine concurrency
-            return item
-
-        result = ThreadPoolStudyExecutor(4).map(slow_identity, [3, 1, 4, 1])
-        assert result == [3, 1, 4, 1]
-
-    def test_map_propagates_failures(self):
-        def explode(item: int) -> int:
-            raise ValueError(f"boom {item}")
-
-        with pytest.raises(ValueError, match="boom"):
-            ThreadPoolStudyExecutor(2).map(explode, [1, 2, 3])
-
 
 class TestParallelDeterminism:
     def test_parallel_study_equals_serial_spike_for_spike(self):
         serial = build_runtime(max_workers=1).run_study(geos=MINI_GEOS)
-        parallel = build_runtime(max_workers=4).run_study(geos=MINI_GEOS)
+        parallel = build_runtime(
+            executor="process", max_workers=2
+        ).run_study(geos=MINI_GEOS)
 
         assert spike_dicts(parallel) == spike_dicts(serial)
         assert parallel.heavy_hitters == serial.heavy_hitters
@@ -177,35 +157,6 @@ class TestExactlyOnceCrawling:
         assert report.served_from_cache == 2 * len(workload)
         assert report.requested == 3 * len(workload)
 
-    def test_concurrent_fetch_one_is_single_flighted(self):
-        service, manager = build_collection(fetchers=4)
-        item = build_workload()[0]
-        responses = []
-        errors = []
-
-        def hit() -> None:
-            try:
-                responses.append(
-                    manager.interest_over_time(
-                        item.term, item.geo, item.window, sample_round=0,
-                        include_rising=False,
-                    )
-                )
-            except Exception as error:  # pragma: no cover - failure detail
-                errors.append(error)
-
-        threads = [threading.Thread(target=hit) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-
-        assert not errors
-        assert len(responses) == 8
-        assert service.stats.frames_served == 1
-        first = responses[0]
-        assert all(np.array_equal(r.values, first.values) for r in responses)
-
     def test_wall_clock_throughput_reported(self):
         _, manager = build_collection()
         report = manager.prefetch(build_workload(), max_workers=4)
@@ -215,7 +166,7 @@ class TestExactlyOnceCrawling:
         assert lifetime.fetched == report.fetched
 
 
-class TestDatabaseConcurrency:
+class TestDatabaseThreadOwnership:
     @staticmethod
     def make_response(geo: str, week: TimeWindow, sample_round: int):
         request = TimeFrameRequest("Internet outage", geo, week)
@@ -228,59 +179,28 @@ class TestDatabaseConcurrency:
             sample_round=sample_round,
         )
 
-    def test_file_database_survives_concurrent_writers(self, tmp_path):
-        database = CollectionDatabase(str(tmp_path / "frames.db"))
-        weeks = weekly_frames(TimeWindow(utc(2021, 1, 1), utc(2021, 2, 26)))
-        geos = ("US-TX", "US-CA", "US-NY", "US-FL")
-        errors = []
-
-        def writer(geo: str, rounds: int) -> None:
-            try:
-                for sample_round in range(rounds):
-                    for week in weeks:
-                        database.store_frame(
-                            self.make_response(geo, week, sample_round),
-                            fetched_by=f"writer-{geo}",
-                        )
-            except Exception as error:  # pragma: no cover - failure detail
-                errors.append(error)
-
-        # Two threads per geo: concurrent writers of the same rows must
-        # serialize onto WAL instead of colliding.
-        threads = [
-            threading.Thread(target=writer, args=(geo, 2))
-            for geo in geos
-            for _ in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-
-        assert not errors
-        # INSERT OR REPLACE keys on (term, geo, window, round): duplicate
-        # writers collapse onto one row per distinct frame.
-        assert database.frame_count() == len(geos) * len(weeks) * 2
-        loaded = database.load_frame(
-            "Internet outage", "US-TX", weeks[0], sample_round=1
-        )
-        assert loaded is not None
-        assert loaded.values.max() == 100
-        database.close()
-
-    def test_memory_database_shared_across_threads(self):
+    def test_use_from_another_thread_fails_loudly(self):
+        # One connection, owned by the opening thread: a cross-thread
+        # call must raise instead of racing the owner.
         database = CollectionDatabase()
         week = weekly_frames(TimeWindow(utc(2021, 1, 1), utc(2021, 1, 15)))[0]
+        errors = []
 
         def write() -> None:
-            database.store_frame(
-                self.make_response("US-TX", week, 0), fetched_by="writer"
-            )
+            try:
+                database.store_frame(
+                    self.make_response("US-TX", week, 0), fetched_by="writer"
+                )
+            except DatabaseError as error:
+                errors.append(error)
 
         thread = threading.Thread(target=write)
         thread.start()
         thread.join(timeout=10)
-        assert database.frame_count() == 1
+        assert not thread.is_alive()
+        assert len(errors) == 1
+        assert database.frame_count() == 0
+        database.close()
 
 
 class _InterruptAfter:
@@ -565,6 +485,21 @@ class TestStudyRuntimeWiring:
         runtime = StudyRuntime.build(scenario=scenario)
         assert runtime.window == scenario.window
         assert runtime.scenario is scenario
+
+    def test_injected_world_is_never_sharded(self):
+        # Shard workers rebuild their world from the config alone, so
+        # sharding an injected scenario would silently study another
+        # world; it is refused, and in-process runs still accept it.
+        scenario = Scenario.build(
+            ScenarioConfig(
+                start=utc(2021, 4, 1), end=utc(2021, 5, 1), background_scale=0.0
+            )
+        )
+        for options in ({"max_workers": 2}, {"executor": "process"}):
+            with pytest.raises(ConfigurationError, match="injected"):
+                StudyRuntime.build(scenario=scenario, **options)
+        runtime = StudyRuntime.build(scenario=scenario, max_workers=2, executor="serial")
+        assert runtime.executor is None
 
 
 class TestResumeUnderFaults:

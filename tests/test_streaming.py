@@ -65,8 +65,10 @@ class TestPrefixParity:
     """Every prefix tick equals batch restricted to that window."""
 
     @pytest.mark.parametrize("stitcher", ["overlap_ratio", "calibrated"])
+    # A runtime whose batch studies shard across processes still
+    # streams: the daemon ingests every geo in-process.
     @pytest.mark.parametrize(
-        "workers,executor", [(1, "serial"), (3, "thread")]
+        "workers,executor", [(1, "serial"), (3, "process")]
     )
     def test_streamed_prefix_equals_batch(self, stitcher, workers, executor):
         runtime = build_runtime(
